@@ -23,8 +23,7 @@ Two dataset modes, like ``bench_fast_engine.py``'s synthetic world:
   stats from a simulated training window (same path as the CLI and the
   eval harness), sized by ``--profile``/``--events``.
 
-``--executor`` picks the fast row's shard substrate (``--parallel`` is
-the legacy alias).  ``--executor process`` adds a row building
+``--executor process`` adds a row building
 whole-leaf shards in worker processes
 (:class:`repro.core.execution.ProcessShardExecutor`, whose workers
 hand their graphs back as zero-copy format-3 leaf bundles, per-shard
@@ -34,13 +33,6 @@ verified bit-identical too, and its speedup over the thread path is
 reported — measured, not asserted; the row includes pool/fleet
 start-up and artifact staging and needs multiple physical cores to
 win.
-
-Every run also closes the **measurement loop** the execution plane
-exists for: one build records per-leaf wall clock into a
-:class:`repro.core.execution.CostModel`, the plan is recomputed on
-those observed costs, and the JSON artifact carries the makespan ratio
-as ``rebalance_gain`` (the fed-back build is verified bit-identical —
-feedback moves work between shards, never changes its result).
 
 A **model-open latency** section saves the built model as a format-3
 artifact and times ``load_model(dir)`` (copied: every array and string
@@ -176,15 +168,10 @@ def main(argv=None) -> int:
     parser.add_argument("--executor",
                         choices=["serial", "thread", "process",
                                  "cluster"],
-                        default=None,
-                        help="shard substrate for the fast row; "
-                             "'process' and 'cluster' additionally get "
-                             "their own comparison row against the "
-                             "thread baseline (bit-identical model)")
-    parser.add_argument("--parallel", choices=["thread", "process"],
                         default="thread",
-                        help="legacy alias of --executor; ignored when "
-                             "--executor is given")
+                        help="'process' and 'cluster' add their own "
+                             "comparison row against the thread "
+                             "baseline (bit-identical model)")
     parser.add_argument("--process-workers", type=int, default=0,
                         help="workers for the process/cluster row "
                              "(default: max(2, --workers))")
@@ -237,8 +224,7 @@ def main(argv=None) -> int:
         args.repeat)
     assert_identical_models(model_ref, model_fast)
 
-    executor = args.executor if args.executor is not None \
-        else args.parallel
+    executor = args.executor
     build_proc_time = None
     process_workers = args.process_workers or max(2, args.workers)
     if executor in ("process", "cluster"):
@@ -260,45 +246,16 @@ def main(argv=None) -> int:
                 backend.close()
         assert_identical_models(model_ref, model_proc)
 
-    # The measurement loop the execution plane closes: build once on
-    # the char-count proxy while *recording* per-leaf wall clock, then
-    # plan again on the recorded CostModel.  rebalance_gain is the
-    # makespan ratio of the two plans under observed costs (> 1 means
-    # the fed-back plan shrank the critical-path shard), and the
-    # fed-back build must stay bit-identical — feedback moves work
-    # between shards, never changes its result.
-    from repro.core.execution import (ThreadShardExecutor,
-                                      plan_rebalance_gain)
-    from repro.core.sharding import ShardPlan
-
+    # One untimed build with telemetry on: its registry snapshot
+    # (per-shard construct timings, plan-shape gauges) is the BENCH
+    # artifact's metrics block.
+    from repro.core.execution import ThreadShardExecutor
     from repro.obs import MetricsRegistry
 
-    rebalance_workers = max(2, args.workers)
-    recorder = ThreadShardExecutor(rebalance_workers,
+    recorder = ThreadShardExecutor(max(2, args.workers),
                                    metrics=MetricsRegistry())
     GraphExModel.construct(curated_fast, builder="fast",
                            build_pooled=args.pooled, executor=recorder)
-    proxy = [(leaf_id, sum(map(len, leaf.texts)) + 1)
-             for leaf_id, leaf in curated_fast.leaves.items()
-             if len(leaf) > 0]
-    rebalance_gain = plan_rebalance_gain(
-        recorder.cost_model, proxy, rebalance_workers)
-    proxy_plan = ShardPlan.for_construction(curated_fast,
-                                            rebalance_workers)
-    fed_plan = ShardPlan.for_construction(
-        curated_fast, rebalance_workers,
-        cost_model=recorder.cost_model)
-    model_fed = GraphExModel.construct(
-        curated_fast, builder="fast", build_pooled=args.pooled,
-        executor=ThreadShardExecutor(rebalance_workers,
-                                     cost_model=recorder.cost_model))
-    assert_identical_models(model_ref, model_fed)
-    gain_text = "n/a (nothing to rebalance)" if rebalance_gain is None \
-        else f"{rebalance_gain:.3f}x"
-    print(f"rebalance gain (observed-cost plan vs char proxy, "
-          f"{rebalance_workers} shards): {gain_text}; "
-          f"partition moved: {fed_plan.shards != proxy_plan.shards}; "
-          f"fed-back model verified bit-identical")
 
     # End-to-end spot check: the built models serve identical output.
     requests = [(i, stat.text, stat.leaf_id)
@@ -378,9 +335,6 @@ def main(argv=None) -> int:
         "verified_identical": True,   # bit-identical models + served spot check
         "workers": args.workers,
         "executor": executor,
-        "parallel": args.parallel,
-        "rebalance_gain": rebalance_gain,
-        "rebalance_shards": rebalance_workers,
         "n_keyphrases": n_keyphrases,
         "n_stats": len(stats),
         "throughput": {row[0]: row[2] for row in rows},
@@ -390,8 +344,6 @@ def main(argv=None) -> int:
             "mmap_ms": open_mmap_time * 1e3,
             "speedup": open_speedup,
         },
-        # The recording build's registry snapshot: per-shard construct
-        # timings and plan-shape gauges for the rebalance experiment.
         "metrics": recorder.metrics.snapshot(),
     })
 

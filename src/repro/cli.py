@@ -46,7 +46,6 @@ from .core.batch import ENGINES, batch_recommend
 from .core.curation import CURATION_ENGINES, CurationConfig, curate
 from .core.execution import EXECUTOR_NAMES
 from .core.model import BUILDERS, GraphExModel
-from .core.sharding import PARALLEL_MODES
 from .core.serialization import load_model, save_model
 from .data.generator import DEFAULT_PROFILE, TINY_PROFILE, generate_dataset
 from .search.logs import KeyphraseStat
@@ -135,25 +134,21 @@ def _load_curated(path: str):
 
 
 def _cli_executor(args: argparse.Namespace):
-    """Resolve ``--executor`` / the legacy ``--parallel`` alias to one
-    executor spec.  ``--executor`` wins when given; ``--parallel``
-    (default ``thread``) otherwise — passing both is fine because the
-    alias is simply ignored once the new flag is set.  ``cluster``
-    boots a self-contained localhost fleet
+    """Resolve ``--executor`` to one executor spec.  ``cluster`` boots
+    a self-contained localhost fleet
     (:meth:`repro.core.execution.ClusterExecutor.local`); the caller
     owns the returned instance and must ``close()`` it."""
-    spec = args.executor if args.executor is not None else args.parallel
-    if spec == "cluster":
+    if args.executor == "cluster":
         from .core.execution import ClusterExecutor
 
         return ClusterExecutor.local(workers=max(2, args.workers))
-    return spec
+    return args.executor
 
 
 def _close_executor(spec) -> None:
     """Tear down an executor ``_cli_executor`` instantiated (a string
     spec owns nothing and is left alone)."""
-    if not isinstance(spec, str):
+    if spec is not None and not isinstance(spec, str):
         spec.close()
 
 
@@ -229,8 +224,7 @@ def _cmd_serve_nrt(args: argparse.Namespace) -> int:
         model, window_size=args.window_size,
         window_seconds=args.window_seconds,
         engine=args.engine, workers=args.workers,
-        executor=args.executor if args.executor is not None
-        else args.parallel)
+        executor=args.executor)
     streams = [f"stream-{i}" for i in range(args.streams)]
     feeds = {}
     for index, name in enumerate(streams):
@@ -561,10 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "self-contained localhost worker fleet — "
                             "bit-identical model on every substrate "
                             "(fast builder only for process/cluster)")
-    p_con.add_argument("--parallel", choices=PARALLEL_MODES,
-                       default="thread",
-                       help="legacy alias of --executor (thread/process "
-                            "only); ignored when --executor is given")
     p_con.add_argument("--format-version", type=int, choices=[1, 2, 3],
                        default=3,
                        help="on-disk format: 3 (default) writes the "
@@ -596,10 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "localhost worker fleet — identical output "
                             "on every substrate (fast engine only for "
                             "process/cluster)")
-    p_rec.add_argument("--parallel", choices=PARALLEL_MODES,
-                       default="thread",
-                       help="legacy alias of --executor (thread/process "
-                            "only); ignored when --executor is given")
     p_rec.add_argument("--mmap", action="store_true",
                        help="open the model zero-copy over the "
                             "format-3 artifact file (read-only views, "
@@ -626,10 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(identical output on each; a long-lived "
                             "service keeps its own cluster, so "
                             "'cluster' is not offered here)")
-    p_srv.add_argument("--parallel", choices=PARALLEL_MODES,
-                       default="thread",
-                       help="legacy alias of --executor; ignored when "
-                            "--executor is given")
     p_srv.add_argument("--refresh-after", type=int, default=0,
                        help="hot-swap a freshly loaded model after this "
                             "many events per stream, mid-run (0 = no "

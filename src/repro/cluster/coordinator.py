@@ -5,7 +5,7 @@ The multi-machine shard runner the ROADMAP promised: a
 (:class:`~repro.cluster.worker.ClusterWorker`) register, and a
 :class:`~repro.core.sharding.ShardPlan` — the shipping unit PR 3 built
 — is executed across the fleet through the exact scatter/merge
-contracts :class:`~repro.core.sharding.ProcessShardExecutor` pins.  The
+contracts :class:`~repro.core.execution.ProcessShardExecutor` pins.  The
 outputs are element-wise/bit-identical to the single-process fast paths
 under **any** failure topology; the fault-injection suite proves it.
 
@@ -68,7 +68,6 @@ from .transport import Transport, TransportClosed
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..core.curation import CuratedKeyphrases
-    from ..core.execution import CostModel
     from ..core.model import LeafGraph
 
 __all__ = ["ClusterCoordinator", "ClusterError", "ClusterExecutionError",
@@ -842,7 +841,6 @@ class ClusterCoordinator:
             hard_limit: Optional[int] = None,
             dense_limit: int = DEFAULT_DENSE_LIMIT,
             distribute: str = "path",
-            cost_model: Optional["CostModel"] = None,
             metrics: Optional[MetricsRegistry] = None) -> BatchResult:
         """Infer a batch across the fleet.
 
@@ -856,11 +854,6 @@ class ClusterCoordinator:
             distribute: ``"path"`` sends the artifact path (localhost /
                 shared filesystem); ``"stream"`` spools the artifact to
                 each worker over the connection first.
-            cost_model: Optional observed-rate
-                :class:`~repro.core.execution.CostModel`: its
-                observations re-cost the plan (same groups, better
-                balance), and each completed unit's wall-clock seconds
-                are recorded back into it.
             metrics: Registry for this job's counters and unit timings
                 (a :class:`~repro.core.execution.ClusterExecutor`
                 passes its own); the coordinator's registry by default.
@@ -881,8 +874,7 @@ class ClusterCoordinator:
             runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit,
                                      dense_limit=dense_limit)
             plan, groups = ShardPlan.for_inference(
-                model, requests, max(1, self.n_live()),
-                cost_model=cost_model)
+                model, requests, max(1, self.n_live()))
             report = ClusterRunReport(
                 kind="inference", n_units_planned=plan.n_shards,
                 n_workers_at_start=self.n_live())
@@ -896,21 +888,9 @@ class ClusterCoordinator:
                         for index in groups[key]]
 
             def observe_unit(unit: _Unit, elapsed: float) -> None:
-                # Units are timed whole (assignment to merged result);
-                # the elapsed seconds spread over the unit's groups pro
-                # rata by request count — the attribution the worker's
-                # single reply allows.  The same reading feeds the
-                # registry and the cost model.
+                # Units are timed whole, assignment to merged result.
                 job_metrics.observe("cluster.unit.seconds", elapsed,
                                     kind="inference")
-                if cost_model is None:
-                    return
-                sizes = [(key, len(groups[key])) for key in unit.keys]
-                total = sum(size for _key, size in sizes)
-                for key, size in sizes:
-                    cost_model.observe_inference(
-                        key, elapsed * size / total if total else 0.0,
-                        size)
 
             def make_message(unit: _Unit, assignment_id: int) -> dict:
                 started[unit] = time.monotonic()
@@ -977,13 +957,12 @@ class ClusterCoordinator:
     async def run_construction(
             self, curated: "CuratedKeyphrases",
             tokenizer: Tokenizer = DEFAULT_TOKENIZER, *,
-            cost_model: Optional["CostModel"] = None,
             metrics: Optional[MetricsRegistry] = None
             ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
         """Build every non-empty leaf graph across the fleet.
 
         Same contract as
-        :meth:`~repro.core.sharding.ProcessShardExecutor.run_construction`:
+        :meth:`~repro.core.execution.ProcessShardExecutor.run_construction`:
         workers persist their shard's graphs as format-3 leaf bundles
         in their spool and the coordinator mmap-opens them (localhost /
         shared filesystem — the bundle never crosses the wire as a
@@ -997,10 +976,6 @@ class ClusterCoordinator:
         plain ``SpaceTokenizer``) cannot promise identical semantics on
         remote hosts, so the whole job runs through the local fast
         builder instead.
-
-        With a ``cost_model``, observed per-leaf build rates re-cost
-        the plan (same leaves, better balance) and each completed
-        unit's wall-clock seconds are recorded back into it.
         """
         from ..core.fast_construct import fast_construct_leaf_graphs
 
@@ -1021,8 +996,8 @@ class ClusterCoordinator:
             if not items:
                 self.last_report = report
                 return {}, cache
-            plan = ShardPlan.for_construction(
-                curated, max(1, self.n_live()), cost_model=cost_model)
+            plan = ShardPlan.for_construction(curated,
+                                              max(1, self.n_live()))
             report.n_units_planned = plan.n_shards
             by_id = dict(items)
             built: Dict[int, "LeafGraph"] = {}
@@ -1031,20 +1006,9 @@ class ClusterCoordinator:
             job_metrics = metrics if metrics is not None else self.metrics
 
             def observe_unit(unit: _Unit, elapsed: float) -> None:
-                # Whole-unit timing spread over its leaves pro rata by
-                # the char-count proxy (the worker reply is per unit,
-                # not per leaf).
+                # Units are timed whole, assignment to merged result.
                 job_metrics.observe("cluster.unit.seconds", elapsed,
                                     kind="construction")
-                if cost_model is None:
-                    return
-                sizes = [(key, sum(map(len, by_id[key].texts)) + 1)
-                         for key in unit.keys]
-                total = sum(size for _key, size in sizes)
-                for key, size in sizes:
-                    cost_model.observe_construction(
-                        key, elapsed * size / total if total else 0.0,
-                        size)
 
             def make_message(unit: _Unit, assignment_id: int) -> dict:
                 started[unit] = time.monotonic()

@@ -1,12 +1,12 @@
 """The unified execution plane: one Executor abstraction, four substrates.
 
 GraphEx runs the same shard-shaped work — leaf-group inference batches
-and whole-leaf construction — on several execution substrates that grew
-up independently: in-process thread sharding, the process pool, and the
-multi-machine cluster runner.  This module collapses them behind one
-:class:`Executor` interface so every layer (``batch_recommend``,
-``GraphExModel.construct``, the serving stack, the CLI) routes through
-a single dial instead of branching on ``parallel=`` strings:
+and whole-leaf construction — on several execution substrates: an
+in-process thread pool, worker processes, and the multi-machine
+cluster runner.  This module puts them behind one :class:`Executor`
+interface, so every layer (``batch_recommend``,
+``GraphExModel.construct``, the serving stack, the CLI) takes a single
+``executor=`` argument:
 
 ===========  ===================  ==========================  ==========
 name         class                where shards run            oracle?
@@ -17,31 +17,22 @@ name         class                where shards run            oracle?
 ``cluster``  ClusterExecutor      remote hosts over TCP       no
 ===========  ===================  ==========================  ==========
 
-Every executor resolves from the legacy spellings via
-:func:`resolve_executor` (``parallel="thread"/"process"`` and
-``cluster=<coordinator>`` keep working), and all four are bound by the
-same non-negotiable contract: **element-wise identical inference output
-and bit-identical constructed models** for any substrate, any worker
-count, and any failure topology — pinned by the cross-executor property
-suite in ``tests/test_execution.py``.
+:func:`resolve_executor` turns an ``executor=`` value — an instance or
+one of :data:`EXECUTOR_NAMES` — into an :class:`Executor`.  All four
+substrates are bound by the same contract: **element-wise identical
+inference output and bit-identical constructed models** for any
+substrate, any worker count, and any failure topology, pinned by the
+cross-executor property suite in ``tests/test_execution.py``.
 
-The plane is also where cost telemetry lives.  Every executor records
-per-shard wall-clock timings into its :class:`CostModel` — per-group
-inference seconds and per-leaf construction seconds, folded as decaying
-rates — and :meth:`ShardPlan.for_inference` /
-:meth:`ShardPlan.for_construction` accept that model to LPT-balance on
-*observed* costs instead of the request-count/char-count proxies.
-Because a plan only changes *which shard* runs a work unit (outputs are
-batch-composition independent), feeding any cost model in never changes
-the served bytes — only the balance.  :func:`plan_rebalance_gain`
-quantifies that balance win; the daily refresh orchestrator threads
-yesterday's model into today's plan with it.
+Work is partitioned by :class:`~repro.core.sharding.ShardPlan`, which
+LPT-balances leaf groups on request counts and leaves on keyphrase
+character counts.  Every executor times its shards through
+:meth:`Executor.record_timing` into its metrics registry.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import shutil
 import tempfile
@@ -58,8 +49,7 @@ from .batch import BatchResult, InferenceRequest
 from .fast_construct import build_leaf_graph_fast, fast_construct_leaf_graphs
 from .fast_inference import DEFAULT_DENSE_LIMIT, LeafBatchRunner
 from .inference import Recommendation
-from .sharding import (PARALLEL_MODES, ShardExecutionError, ShardPlan,
-                       ShardWorkerError, _unwrap_shard_future)
+from .sharding import ShardPlan, ShardWorkerError, _unwrap_shard_future
 from .tokenize import DEFAULT_TOKENIZER, TokenCache, Tokenizer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -67,243 +57,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .curation import CuratedKeyphrases, CuratedLeaf
     from .model import GraphExModel, LeafGraph
 
-__all__ = ["EXECUTOR_NAMES", "CostModel", "Executor", "SerialExecutor",
+__all__ = ["EXECUTOR_NAMES", "Executor", "SerialExecutor",
            "ThreadShardExecutor", "ProcessShardExecutor",
-           "ClusterExecutor", "plan_rebalance_gain", "resolve_executor"]
+           "ClusterExecutor", "resolve_executor"]
 
-#: Executor spellings accepted by :func:`resolve_executor` (and the CLI
-#: ``--executor`` flag).  The legacy :data:`~repro.core.sharding.PARALLEL_MODES`
-#: are a strict subset.
+#: The substrate names (:attr:`Executor.name`, and the CLI ``--executor``
+#: choices).  :func:`resolve_executor` builds the first three from their
+#: name; ``"cluster"`` needs a :class:`ClusterExecutor` instance.
 EXECUTOR_NAMES = ("serial", "thread", "process", "cluster")
-
-#: Observed-cost plans quantize rates to integer microseconds so they
-#: stay inside ShardPlan's strict int-cost wire format.
-_COST_SCALE = 1_000_000
-
-
-class CostModel:
-    """Observed per-work-unit execution rates, fed back into planning.
-
-    Every executor records each work unit's wall-clock seconds here —
-    inference units are leaf groups (key = leaf id, units = requests
-    served), construction units are whole leaves (key = leaf id, units
-    = the char-count proxy).  Observations fold into a decaying rate
-    (seconds per unit) per key, so yesterday's hot spots steer today's
-    :class:`~repro.core.sharding.ShardPlan` balance while old readings
-    fade.
-
-    The model is a value object: :meth:`to_json` / :meth:`from_json`
-    round-trip exactly (``RefreshReport`` / bench artifacts persist it
-    across daily runs), :meth:`merge` decay-folds another day's model
-    in, and a model with **no** observations for a kind leaves the
-    proxy costs untouched — planning degrades gracefully to the
-    request-count/char-count heuristics.
-
-    Thread-safe: executors observe from shard worker threads.
-
-    Args:
-        decay: Weight retained by the *old* rate when a new observation
-            (or merged model) folds in; ``0.7`` keeps roughly a week of
-            daily history relevant.
-    """
-
-    KINDS = ("inference", "construction")
-
-    def __init__(self, decay: float = 0.7) -> None:
-        if not 0.0 <= decay < 1.0:
-            raise ValueError(f"decay must be in [0, 1), got {decay}")
-        self._decay = decay
-        self._lock = threading.Lock()
-        self._rates: Dict[str, Dict[Hashable, float]] = \
-            {kind: {} for kind in self.KINDS}
-        self._counts: Dict[str, Dict[Hashable, int]] = \
-            {kind: {} for kind in self.KINDS}
-
-    @property
-    def decay(self) -> float:
-        """Old-rate weight per folded observation."""
-        return self._decay
-
-    def observe(self, kind: str, key: Hashable, seconds: float,
-                units: int = 1) -> None:
-        """Fold one wall-clock measurement into the key's rate."""
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown cost kind {kind!r}; expected one "
-                             f"of {self.KINDS}")
-        rate = max(0.0, float(seconds)) / max(1, int(units))
-        with self._lock:
-            old = self._rates[kind].get(key)
-            if old is None:
-                self._rates[kind][key] = rate
-                self._counts[kind][key] = 1
-            else:
-                self._rates[kind][key] = (self._decay * old
-                                          + (1.0 - self._decay) * rate)
-                self._counts[kind][key] += 1
-
-    def observe_inference(self, key: Hashable, seconds: float,
-                          units: int = 1) -> None:
-        """One leaf group served ``units`` requests in ``seconds``."""
-        self.observe("inference", key, seconds, units)
-
-    def observe_construction(self, key: Hashable, seconds: float,
-                             units: int = 1) -> None:
-        """One leaf (char proxy ``units``) built in ``seconds``."""
-        self.observe("construction", key, seconds, units)
-
-    def n_observations(self, kind: Optional[str] = None) -> int:
-        """Observations folded in (for one kind, or in total)."""
-        with self._lock:
-            kinds = self.KINDS if kind is None else (kind,)
-            return sum(sum(self._counts[k].values()) for k in kinds)
-
-    def has_observations(self, kind: str) -> bool:
-        """Whether any rate exists for ``kind`` (else proxies rule)."""
-        with self._lock:
-            return bool(self._rates[kind])
-
-    def merge(self, other: "CostModel") -> None:
-        """Decay-fold another model's rates into this one.
-
-        The daily hand-off primitive: today's freshly recorded model
-        merges into the orchestrator's running one.  A key present only
-        on one side is copied; a key present on both folds as a
-        count-weighted mean with this model's history decayed once —
-        so repeated daily merges geometrically age out stale readings.
-        """
-        with other._lock:
-            snapshot = {
-                kind: (dict(other._rates[kind]), dict(other._counts[kind]))
-                for kind in self.KINDS}
-        with self._lock:
-            for kind, (rates, counts) in snapshot.items():
-                for key, rate in rates.items():
-                    count = counts[key]
-                    mine = self._rates[kind].get(key)
-                    if mine is None:
-                        self._rates[kind][key] = rate
-                        self._counts[kind][key] = count
-                    else:
-                        old_weight = self._counts[kind][key] * self._decay
-                        total = old_weight + count
-                        self._rates[kind][key] = \
-                            (mine * old_weight + rate * count) / total
-                        self._counts[kind][key] += count
-
-    def costs(self, kind: str,
-              proxy: Sequence[Tuple[Hashable, int]]
-              ) -> List[Tuple[Hashable, int]]:
-        """Re-cost a proxy list with observed rates (or pass it through).
-
-        With no observation for ``kind`` the proxy is returned
-        unchanged.  Otherwise every key's cost becomes
-        ``rate * proxy_units`` in integer microseconds (floored at 1,
-        so a planned key never becomes free); an unobserved key uses
-        the mean observed rate, keeping it commensurate with observed
-        neighbours instead of comparing microseconds to raw counts.
-        """
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown cost kind {kind!r}; expected one "
-                             f"of {self.KINDS}")
-        with self._lock:
-            rates = dict(self._rates[kind])
-        if not rates:
-            return list(proxy)
-        default = sum(rates.values()) / len(rates)
-        return [(key,
-                 max(1, round(rates.get(key, default)
-                              * max(1, units) * _COST_SCALE)))
-                for key, units in proxy]
-
-    def inference_costs(self, proxy: Sequence[Tuple[Hashable, int]]
-                        ) -> List[Tuple[Hashable, int]]:
-        """:meth:`costs` for inference plans (ShardPlan hook)."""
-        return self.costs("inference", proxy)
-
-    def construction_costs(self, proxy: Sequence[Tuple[Hashable, int]]
-                           ) -> List[Tuple[Hashable, int]]:
-        """:meth:`costs` for construction plans (ShardPlan hook)."""
-        return self.costs("construction", proxy)
-
-    def to_json(self) -> str:
-        """Serialize for the daily round-trip (exact; see from_json)."""
-        with self._lock:
-            return json.dumps({
-                "decay": self._decay,
-                **{kind: {str(key): [self._rates[kind][key],
-                                      self._counts[kind][key]]
-                          for key in self._rates[kind]}
-                   for kind in self.KINDS}})
-
-    @classmethod
-    def from_json(cls, payload: str) -> "CostModel":
-        """Reconstruct a model serialized with :meth:`to_json`.
-
-        Rates round-trip bit-exactly (json float repr), so a restored
-        model plans the same shards the recording run would have.
-        """
-        try:
-            data = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"cost model payload is not JSON: {exc}") \
-                from None
-        if not isinstance(data, dict) or "decay" not in data:
-            raise ValueError(
-                "cost model payload must be an object with 'decay'")
-        model = cls(decay=float(data["decay"]))
-        for kind in cls.KINDS:
-            for raw_key, entry in dict(data.get(kind, {})).items():
-                if not isinstance(entry, list) or len(entry) != 2:
-                    raise ValueError(
-                        f"cost model {kind} entry {raw_key!r} must be a "
-                        f"[rate, count] pair, got {entry!r}")
-                try:
-                    key: Hashable = int(raw_key)
-                except ValueError:
-                    key = raw_key
-                model._rates[kind][key] = float(entry[0])
-                model._counts[kind][key] = int(entry[1])
-        return model
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CostModel):
-            return NotImplemented
-        return (self._decay == other._decay
-                and self._rates == other._rates
-                and self._counts == other._counts)
-
-    def __repr__(self) -> str:
-        return (f"CostModel(decay={self._decay}, "
-                f"n_observations={self.n_observations()})")
-
-
-def plan_rebalance_gain(cost_model: Optional[CostModel],
-                        proxy: Sequence[Tuple[Hashable, int]],
-                        n_shards: int,
-                        kind: str = "construction") -> Optional[float]:
-    """Makespan ratio of the proxy plan over the observed-cost plan.
-
-    Both plans are *evaluated* under the observed costs (the best
-    estimate of reality): ``gain > 1`` means balancing on observations
-    shrank the critical-path shard by that factor versus the
-    request-count/char-count proxy.  Returns ``None`` when there is
-    nothing to compare — no cost model, no observations for ``kind``,
-    or fewer than two shards/keys.
-    """
-    if cost_model is None or not cost_model.has_observations(kind):
-        return None
-    if n_shards < 2 or len(proxy) < 2:
-        return None
-    observed = dict(cost_model.costs(kind, proxy))
-    proxy_plan = ShardPlan.balance(proxy, n_shards)
-    observed_plan = ShardPlan.balance(
-        [(key, observed[key]) for key, _units in proxy], n_shards)
-    proxy_makespan = max(sum(observed[key] for key in shard)
-                         for shard in proxy_plan.shards)
-    observed_makespan = max(observed_plan.shard_costs)
-    if observed_makespan <= 0:
-        return None
-    return proxy_makespan / observed_makespan
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +76,8 @@ class Executor:
 
     Subclasses implement :meth:`run_inference` (leaf-group shards of a
     request batch) and :meth:`run_construction` (whole-leaf shards of a
-    curated corpus) and record per-shard wall-clock timings into
-    :attr:`cost_model`.  All substrates are output-equivalent — the
+    curated corpus) and record per-shard wall-clock timings through
+    :meth:`record_timing`.  All substrates are output-equivalent — the
     bit-identity contract in the module docstring — so callers choose
     purely on capacity.
 
@@ -326,36 +87,27 @@ class Executor:
             engine/builder may pair with this executor.  Only the
             in-process substrates do — the scalar paths stay
             single-process as the semantics oracle.
-        cost_model: Where this executor's shard timings accumulate.
         metrics: The :class:`~repro.obs.MetricsRegistry` this executor
             records into; a :class:`~repro.obs.NullRegistry` (telemetry
-            off) by default.  Every timed shard feeds the registry and
-            the cost model from the *same* clock reading via
-            :meth:`record_timing`.
+            off) by default.
     """
 
     name: str = "abstract"
     supports_reference: bool = False
 
-    def __init__(self, *, cost_model: Optional[CostModel] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
-        self.cost_model = cost_model if cost_model is not None \
-            else CostModel()
+    def __init__(self, *, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else NullRegistry()
 
     def record_timing(self, kind: str,
                       keyed_units: Sequence[Tuple[Hashable, int]],
                       elapsed: float) -> None:
-        """Feed one timed span of shard work into both telemetry sinks.
+        """Record one timed span of shard work into :attr:`metrics`.
 
-        The single chokepoint for executor timings: ``elapsed`` is
-        spread pro rata over the keys into :attr:`cost_model` (the
-        planner's decaying rates) and recorded whole into
-        :attr:`metrics` — one ``perf_counter`` interval, two views,
-        so the cost model and the operator dashboards can never
-        disagree about what was measured.
+        The single chokepoint for executor timings: ``keyed_units``
+        names the work units the span covered (leaf groups with their
+        request counts, or leaves with their char-count proxies) and
+        ``elapsed`` is its ``perf_counter`` interval.
         """
-        _observe_spread(self.cost_model, kind, keyed_units, elapsed)
         metrics = self.metrics
         metrics.inc(f"executor.{kind}.tasks", executor=self.name)
         if kind == "inference":
@@ -408,41 +160,26 @@ class Executor:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def _observe_spread(cost_model: CostModel, kind: str,
-                    keyed_units: Sequence[Tuple[Hashable, int]],
-                    elapsed: float) -> None:
-    """Distribute one shard's elapsed seconds over its keys, pro rata
-    by each key's unit count (the best attribution available when the
-    substrate timed the shard as a whole)."""
-    total = sum(units for _key, units in keyed_units)
-    for key, units in keyed_units:
-        share = elapsed * units / total if total else 0.0
-        cost_model.observe(kind, key, share, units)
-
-
 class ThreadShardExecutor(Executor):
     """In-process thread sharding (the default substrate).
 
     Absorbs the thread fan-out that used to live inside
     ``LeafBatchRunner(workers=...)`` / ``fast_construct_leaf_graphs``:
     leaf groups (inference) and whole leaves (construction) are
-    LPT-planned via :class:`~repro.core.sharding.ShardPlan` — observed
-    costs included — and each planned shard runs on a pool thread.
-    With one worker (or one shard) the work runs inline on the calling
-    thread, timing included.
+    LPT-planned via :class:`~repro.core.sharding.ShardPlan` and each
+    planned shard runs on a pool thread.  With one worker (or one
+    shard) the work runs inline on the calling thread, timing included.
 
     Args:
         workers: Upper bound on threads (and shards planned).
-        cost_model: Shared cost model; a private one by default.
     """
 
     name = "thread"
     supports_reference = True
 
     def __init__(self, workers: int = 1, *,
-                 cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(cost_model=cost_model, metrics=metrics)
+        super().__init__(metrics=metrics)
         self.workers = max(1, int(workers))
 
     def run_inference(self, model: "GraphExModel",
@@ -453,8 +190,8 @@ class ThreadShardExecutor(Executor):
         requests = list(requests)
         runner = LeafBatchRunner(model, k=k, hard_limit=hard_limit,
                                  dense_limit=dense_limit)
-        plan, groups = ShardPlan.for_inference(
-            model, requests, self.workers, cost_model=self.cost_model)
+        plan, groups = ShardPlan.for_inference(model, requests,
+                                               self.workers)
         self.record_plan("inference", plan)
         results: List[List[Recommendation]] = [[] for _ in requests]
 
@@ -485,8 +222,7 @@ class ThreadShardExecutor(Executor):
         cache = TokenCache(tokenizer)
         items = [(leaf_id, leaf) for leaf_id, leaf in
                  curated.leaves.items() if len(leaf) > 0]
-        plan = ShardPlan.for_construction(curated, self.workers,
-                                          cost_model=self.cost_model)
+        plan = ShardPlan.for_construction(curated, self.workers)
         self.record_plan("construction", plan)
         by_id = dict(items)
         built: Dict[int, "LeafGraph"] = {}
@@ -524,10 +260,8 @@ class SerialExecutor(ThreadShardExecutor):
 
     name = "serial"
 
-    def __init__(self, *, cost_model: Optional[CostModel] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(workers=1, cost_model=cost_model,
-                         metrics=metrics)
+    def __init__(self, *, metrics: Optional[MetricsRegistry] = None) -> None:
+        super().__init__(workers=1, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +286,7 @@ def _run_inference_shard(requests: Sequence[InferenceRequest]
                          ) -> Tuple[List[List[Recommendation]], float]:
     """One inference shard: per-request results in shard order, plus the
     worker-side wall-clock seconds the shard took (measured here so the
-    cost model never counts pool start-up or queueing).
+    recorded timing never counts pool start-up or queueing).
 
     Failures come back as :class:`ShardWorkerError` carrying the full
     worker-side traceback — a raw exception would lose it (or, when
@@ -591,7 +325,7 @@ def _build_construct_shard(leaves: Sequence["CuratedLeaf"],
 
     Returns:
         ``(token_state, timings)`` — the exported cache state and
-        ``(leaf_id, seconds)`` per built leaf for the cost model.
+        ``(leaf_id, seconds)`` per built leaf for the metrics registry.
     """
     from .serialization import save_leaf_graphs
 
@@ -623,7 +357,6 @@ class ProcessShardExecutor(Executor):
             the calling process — same output, no pool overhead.
         start_method: Optional multiprocessing start method ("fork",
             "spawn", "forkserver"); None uses the platform default.
-        cost_model: Shared cost model; a private one by default.
 
     Output is element-wise/bit-identical to the single-process fast
     paths for any worker count (see the module docstring for why).
@@ -633,9 +366,8 @@ class ProcessShardExecutor(Executor):
 
     def __init__(self, workers: int = 2,
                  start_method: Optional[str] = None, *,
-                 cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(cost_model=cost_model, metrics=metrics)
+        super().__init__(metrics=metrics)
         self._workers = max(1, int(workers))
         self._start_method = start_method
 
@@ -662,15 +394,13 @@ class ProcessShardExecutor(Executor):
         its leaf id when that leaf has a graph, by the pooled
         pseudo-leaf when it falls back to the pooled graph, and is
         excluded (its result is ``[]``) when neither exists.  Costs are
-        the executor's observed rates when it has any, else the group
-        request counts.
+        the group request counts.
 
         Returns:
             ``(plan, groups)`` — the balanced plan over group keys, and
             each group's request indices in batch order.
         """
-        return ShardPlan.for_inference(model, requests, self._workers,
-                                       cost_model=self.cost_model)
+        return ShardPlan.for_inference(model, requests, self._workers)
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
@@ -733,11 +463,10 @@ class ProcessShardExecutor(Executor):
                          ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
         """Build every non-empty leaf graph with whole-leaf process shards.
 
-        The cost estimate is each leaf's observed build rate when the
-        cost model has one, else its summed keyphrase character count —
-        proportional to token occurrences, hence to the edge pairs the
-        build pass walks — without paying a tokenization pass in the
-        parent.  Shard states merge into the returned cache in
+        The cost estimate is each leaf's summed keyphrase character
+        count — proportional to token occurrences, hence to the edge
+        pairs the build pass walks — without paying a tokenization pass
+        in the parent.  Shard states merge into the returned cache in
         shard-index order (deterministic pool, reused by the
         pooled-graph build exactly as in the thread path).
 
@@ -774,8 +503,7 @@ class ProcessShardExecutor(Executor):
             return graphs, cache
 
         cache = TokenCache(tokenizer)
-        plan = ShardPlan.for_construction(curated, self._workers,
-                                          cost_model=self.cost_model)
+        plan = ShardPlan.for_construction(curated, self._workers)
         self.record_plan("construction", plan)
         by_id = dict(items)
         shards = [[by_id[leaf_id] for leaf_id in shard]
@@ -815,8 +543,7 @@ class ClusterExecutor(Executor):
     :class:`~repro.cluster.coordinator.ClusterCoordinator` — fleet
     management, per-RPC deadlines, retries, dead-host re-planning and
     exactly-once merging all live there; this class adapts it to the
-    synchronous :class:`Executor` interface and threads the cost model
-    into the coordinator's plans.
+    synchronous :class:`Executor` interface.
 
     The sync :meth:`run_inference` / :meth:`run_construction` submit to
     the coordinator's event loop and block the *calling* thread, so
@@ -829,7 +556,6 @@ class ClusterExecutor(Executor):
         distribute: Model hand-off for inference jobs — ``"path"``
             (shared filesystem / localhost) or ``"stream"`` (spool the
             artifact over each worker's connection).
-        cost_model: Shared cost model; a private one by default.
 
     Use :meth:`local` for a self-contained fleet (own loop thread plus
     N in-process workers) when no external cluster is running —
@@ -841,9 +567,8 @@ class ClusterExecutor(Executor):
 
     def __init__(self, coordinator: "ClusterCoordinator", *,
                  distribute: str = "path",
-                 cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(cost_model=cost_model, metrics=metrics)
+        super().__init__(metrics=metrics)
         self.coordinator = coordinator
         self._distribute = distribute
         self._owned: Optional[tuple] = None
@@ -851,7 +576,6 @@ class ClusterExecutor(Executor):
     @classmethod
     def local(cls, workers: int = 2, *,
               distribute: str = "path",
-              cost_model: Optional[CostModel] = None,
               metrics: Optional[MetricsRegistry] = None,
               retry=None, rpc_timeout: float = 30.0,
               start_timeout: float = 60.0) -> "ClusterExecutor":
@@ -897,7 +621,7 @@ class ClusterExecutor(Executor):
             loop.close()
             raise
         executor = cls(coordinator, distribute=distribute,
-                       cost_model=cost_model, metrics=metrics)
+                       metrics=metrics)
         executor._owned = (loop, thread, tasks)
         return executor
 
@@ -930,7 +654,7 @@ class ClusterExecutor(Executor):
         return await self.coordinator.run_inference(
             model, list(requests), k=k, hard_limit=hard_limit,
             dense_limit=dense_limit, distribute=self._distribute,
-            cost_model=self.cost_model, metrics=self.metrics)
+            metrics=self.metrics)
 
     async def run_construction_async(
             self, curated: "CuratedKeyphrases",
@@ -938,8 +662,7 @@ class ClusterExecutor(Executor):
             ) -> Tuple[Dict[int, "LeafGraph"], TokenCache]:
         """:meth:`run_construction` for callers on the coordinator loop."""
         return await self.coordinator.run_construction(
-            curated, tokenizer, cost_model=self.cost_model,
-            metrics=self.metrics)
+            curated, tokenizer, metrics=self.metrics)
 
     def run_inference(self, model: "GraphExModel",
                       requests: Sequence[InferenceRequest],
@@ -978,38 +701,26 @@ class ClusterExecutor(Executor):
 
 
 # ---------------------------------------------------------------------------
-# The resolver: legacy spellings, new spellings, and instances all land
-# on an Executor — the only place the `parallel` strings are interpreted.
-
-_EXECUTOR_CLASSES = {
-    "serial": SerialExecutor,
-    "thread": ThreadShardExecutor,
-    "process": ProcessShardExecutor,
-}
+# The resolver: the only place executor spellings are interpreted.
 
 
 def resolve_executor(executor: Union[Executor, str, None] = None, *,
-                     parallel: Optional[str] = None,
                      workers: int = 1,
-                     cluster: Optional["ClusterCoordinator"] = None,
-                     cost_model: Optional[CostModel] = None,
                      metrics: Optional[MetricsRegistry] = None,
                      engine: Optional[str] = None) -> Executor:
-    """Resolve any accepted spelling to an :class:`Executor` instance.
+    """Resolve an ``executor=`` value to an :class:`Executor` instance.
 
-    The single entry point behind every ``executor=`` keyword (and the
-    back-compat shim behind every legacy ``parallel=``/``cluster=``
-    one):
+    The single entry point behind every ``executor=`` keyword:
 
     * an :class:`Executor` instance passes through unchanged (it keeps
-      its own workers, cost model, and metrics registry);
+      its own workers and metrics registry);
     * ``"serial"`` / ``"thread"`` / ``"process"`` build the matching
-      class with ``workers``, ``cost_model``, and ``metrics``;
-    * ``"cluster"`` wraps the supplied ``cluster`` coordinator (one is
-      required — a fleet cannot be conjured from a string);
-    * ``None`` falls back to the legacy ``parallel`` spelling, then to
-      a ``cluster`` coordinator if one was passed, then to
-      ``"thread"`` — exactly the old default.
+      class with ``workers`` and ``metrics``;
+    * ``None`` means ``"thread"``.
+
+    ``"cluster"`` is rejected: a fleet cannot be conjured from a
+    string, so pass an existing :class:`ClusterExecutor` (or build one
+    with :meth:`ClusterExecutor.local`).
 
     ``engine`` (an engine *or* builder name) enforces the oracle
     pairing rule: the scalar ``reference`` paths stay single-process,
@@ -1017,49 +728,28 @@ def resolve_executor(executor: Union[Executor, str, None] = None, *,
     serve them.
 
     Raises:
-        ValueError: On an unknown spelling, ``executor=`` combined
-            with ``parallel=``, ``"cluster"`` without a coordinator,
-            or a reference engine/builder paired with an out-of-process
+        ValueError: On an unknown spelling, a bare ``"cluster"``, or a
+            reference engine/builder paired with an out-of-process
             executor.
     """
-    if executor is not None and parallel is not None:
+    if executor is None:
+        executor = "thread"
+    if isinstance(executor, Executor):
+        resolved = executor
+    elif executor == "serial":
+        resolved = SerialExecutor(metrics=metrics)
+    elif executor == "thread":
+        resolved = ThreadShardExecutor(workers, metrics=metrics)
+    elif executor == "process":
+        resolved = ProcessShardExecutor(workers, metrics=metrics)
+    elif executor == "cluster":
         raise ValueError(
-            f"pass either executor={executor!r} or the legacy "
-            f"parallel={parallel!r}, not both")
-    spec: Union[Executor, str, None] = executor
-    if spec is None:
-        spec = parallel
-    if spec is None and cluster is not None:
-        spec = "cluster"
-    if spec is None:
-        spec = "thread"
-
-    if isinstance(spec, Executor):
-        resolved = spec
-    elif isinstance(spec, str):
-        if spec not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"unknown parallel mode {spec!r}; expected an Executor "
-                f"instance or one of {EXECUTOR_NAMES} (legacy spellings "
-                f"{PARALLEL_MODES} included)")
-        if spec == "cluster":
-            if cluster is None:
-                raise ValueError(
-                    "executor='cluster' needs a started "
-                    "ClusterCoordinator: pass cluster=<coordinator>, "
-                    "an existing ClusterExecutor instance, or use "
-                    "ClusterExecutor.local()")
-            resolved = ClusterExecutor(cluster, cost_model=cost_model,
-                                       metrics=metrics)
-        else:
-            resolved = _EXECUTOR_CLASSES[spec](
-                workers, cost_model=cost_model, metrics=metrics) \
-                if spec != "serial" \
-                else SerialExecutor(cost_model=cost_model,
-                                    metrics=metrics)
+            "executor='cluster' needs a running fleet: pass an existing "
+            "ClusterExecutor instance, or boot a localhost one with "
+            "ClusterExecutor.local()")
     else:
         raise ValueError(
-            f"unknown parallel mode {spec!r}; expected an Executor "
+            f"unknown executor={executor!r}; expected an Executor "
             f"instance or one of {EXECUTOR_NAMES}")
 
     if engine is not None and engine != "fast" \

@@ -10,22 +10,14 @@ module owns what they all share:
   longest-processing-time greedy pass.  A plan is JSON-serializable —
   exactly the unit the multi-machine runner ships to remote workers.
   :meth:`ShardPlan.for_inference` / :meth:`ShardPlan.for_construction`
-  build the canonical plans for the two work kinds, optionally
-  re-costed from an executor's observed
-  :class:`~repro.core.execution.CostModel` instead of the
-  request-count/char-count proxies.
+  build the canonical plans for the two work kinds, costed by request
+  counts and keyphrase character counts respectively.
 * The shard failure vocabulary (:class:`ShardWorkerError`,
   :class:`ShardExecutionError`, :func:`_unwrap_shard_future`) shared by
   the process executor and the cluster runner.
 
-The execution substrates themselves live in
-:mod:`repro.core.execution`; the legacy names
-(``ProcessShardExecutor``, the worker entry points) remain importable
-from here via a lazy module ``__getattr__`` so existing callers and
-pickled pool tasks keep working.  ``parallel={thread,process}`` remains
-accepted everywhere through :func:`validate_parallel`, which now
-delegates to :func:`~repro.core.execution.resolve_executor` — the one
-place the spellings are interpreted.
+The execution substrates themselves, and the worker-process entry
+points, live in :mod:`repro.core.execution`.
 
 Everything crossing a process boundary must pickle: the built-in
 tokenizers and alignment functions do, while ad-hoc lambdas do not —
@@ -42,15 +34,7 @@ from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional,
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .batch import InferenceRequest
     from .curation import CuratedKeyphrases
-    from .execution import CostModel
     from .model import GraphExModel
-
-#: Legacy parallel-mode spellings accepted by the batch/construct entry
-#: points (and the CLI ``--parallel`` flags).  ``thread`` shards within
-#: the calling process; ``process`` runs fast-path shards in worker
-#: processes.  Superset spellings (``serial``, ``cluster``) live in
-#: :data:`repro.core.execution.EXECUTOR_NAMES`.
-PARALLEL_MODES = ("thread", "process")
 
 #: Shard-plan key for the leaf group served by the pooled fallback graph
 #: (requests whose leaf has no graph of its own).  Mirrors the pooled
@@ -89,24 +73,6 @@ class ShardExecutionError(RuntimeError):
                  worker_traceback: Optional[str] = None) -> None:
         super().__init__(message)
         self.worker_traceback = worker_traceback
-
-
-def validate_parallel(parallel: str, engine: Optional[str] = None) -> None:
-    """Raise ValueError on a bad parallel mode or mode/engine pairing.
-
-    Delegates to :func:`~repro.core.execution.resolve_executor` — the
-    single interpreter of executor spellings — so the legacy
-    ``parallel=`` strings and the new ``executor=`` ones accept exactly
-    the same values and raise the same errors.  Out-of-process
-    executors pair only with the fast engine/builder: the scalar
-    ``reference`` paths deliberately stay single-process (their role is
-    the easy-to-audit semantics oracle, and process orchestration would
-    change what they oracle).  Serving constructors call this up front
-    so a bad combination fails at construction rather than mid-batch.
-    """
-    from .execution import resolve_executor
-
-    resolve_executor(executor=parallel, engine=engine)
 
 
 class ShardPlan:
@@ -182,22 +148,18 @@ class ShardPlan:
     @classmethod
     def for_inference(cls, model: "GraphExModel",
                       requests: Sequence["InferenceRequest"],
-                      n_shards: int,
-                      cost_model: Optional["CostModel"] = None
+                      n_shards: int
                       ) -> Tuple["ShardPlan", Dict[int, List[int]]]:
         """The canonical inference plan: leaf groups, balanced.
 
         Mirrors ``LeafBatchRunner``'s grouping: a request is keyed by
         its leaf id when that leaf has a graph, by :data:`POOLED_GROUP`
         when it falls back to the pooled graph, and is excluded (its
-        result is ``[]``) when neither exists.  The proxy cost estimate
-        is the group's request count — per-request work dominates, and
-        keeping groups whole preserves the vectorized amortisation.
-        With a ``cost_model`` carrying inference observations, groups
-        are re-costed by observed per-request rates instead
-        (:meth:`~repro.core.execution.CostModel.inference_costs`);
-        either way every substrate executes the same groups, so the
-        choice only moves balance, never output.
+        result is ``[]``) when neither exists.  A group's cost estimate
+        is its request count — per-request work dominates, and keeping
+        groups whole preserves the vectorized amortisation.  Every
+        substrate executes the same groups, so the shard count only
+        moves balance, never output.
 
         Returns:
             ``(plan, groups)`` — the balanced plan over group keys, and
@@ -212,32 +174,21 @@ class ShardPlan:
             else:
                 continue
             groups.setdefault(key, []).append(index)
-        proxy = [(key, len(indices)) for key, indices in groups.items()]
-        costs = proxy if cost_model is None \
-            else cost_model.inference_costs(proxy)
+        costs = [(key, len(indices)) for key, indices in groups.items()]
         return cls.balance(costs, n_shards), groups
 
     @classmethod
     def for_construction(cls, curated: "CuratedKeyphrases",
-                         n_shards: int,
-                         cost_model: Optional["CostModel"] = None
-                         ) -> "ShardPlan":
+                         n_shards: int) -> "ShardPlan":
         """The canonical construction plan: non-empty leaves, balanced.
 
-        The proxy cost estimate is each leaf's summed keyphrase
-        character count — proportional to token occurrences, hence to
-        the edge pairs the build pass walks — without paying a
-        tokenization pass up front.  With a ``cost_model`` carrying
-        construction observations, leaves are re-costed by observed
-        build rates instead
-        (:meth:`~repro.core.execution.CostModel.construction_costs`).
+        A leaf's cost estimate is its summed keyphrase character count
+        — proportional to token occurrences, hence to the edge pairs the
+        build pass walks — without paying a tokenization pass up front.
         """
-        proxy = [(leaf_id, sum(map(len, leaf.texts)) + 1)
-                 for leaf_id, leaf in curated.leaves.items()
-                 if len(leaf) > 0]
-        costs = proxy if cost_model is None \
-            else cost_model.construction_costs(proxy)
-        return cls.balance(costs, n_shards)
+        return cls.balance([(leaf_id, sum(map(len, leaf.texts)) + 1)
+                            for leaf_id, leaf in curated.leaves.items()
+                            if len(leaf) > 0], n_shards)
 
     @property
     def shards(self) -> Tuple[Tuple[Hashable, ...], ...]:
@@ -269,8 +220,8 @@ class ShardPlan:
 
         ``imbalance`` is the makespan over the mean shard cost (1.0 is
         perfectly level).  The executors gauge these into the metrics
-        registry per plan, so how well observed-cost planning levels
-        real batches is visible without re-deriving it from timings.
+        registry per plan, so how well the cost proxies level real
+        batches is visible without re-deriving it from timings.
         """
         costs = self.shard_costs
         makespan = max(costs) if costs else 0
@@ -354,20 +305,15 @@ class ShardPlan:
                 plan_costs[key] = cost
         return cls(tuple(tuple(shard) for shard in shards), plan_costs)
 
-    def replan(self, keys: Iterable[Hashable], n_shards: int,
-               costs: Optional[Dict[Hashable, int]] = None) -> "ShardPlan":
+    def replan(self, keys: Iterable[Hashable], n_shards: int) -> "ShardPlan":
         """Re-balance a subset of this plan's keys across ``n_shards``.
 
         The dead-host orphan re-planning primitive: when a worker dies
         mid-plan, the coordinator takes the keys it was executing and
         re-balances them across the surviving hosts (``n_shards``
         clamps to the key count, and down to one shard when the fleet
-        has emptied).  Each key keeps this plan's recorded cost — when
-        the plan was balanced on observed rates, orphans redistribute
-        on those same rates, not on stale proxies — unless ``costs``
-        supplies a fresher per-key estimate (keys it omits fall back
-        to the recorded cost).  Deterministic for a given key order,
-        like :meth:`balance`.
+        has emptied).  Each key keeps this plan's recorded cost.
+        Deterministic for a given key order, like :meth:`balance`.
 
         Raises:
             ValueError: If a key was not part of this plan (its cost is
@@ -378,10 +324,8 @@ class ShardPlan:
         if unknown:
             raise ValueError(
                 f"cannot replan keys {unknown!r}: not part of this plan")
-        override = dict(costs) if costs else {}
-        return ShardPlan.balance(
-            [(key, override.get(key, self._costs[key])) for key in keys],
-            n_shards)
+        return ShardPlan.balance([(key, self._costs[key]) for key in keys],
+                                 n_shards)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShardPlan):
@@ -391,19 +335,6 @@ class ShardPlan:
     def __repr__(self) -> str:
         return (f"ShardPlan(n_shards={self.n_shards}, "
                 f"shard_costs={self.shard_costs})")
-
-
-def plan_inference_groups(model: "GraphExModel",
-                          requests: Sequence["InferenceRequest"],
-                          n_shards: int
-                          ) -> Tuple[ShardPlan, Dict[int, List[int]]]:
-    """Legacy spelling of :meth:`ShardPlan.for_inference` (proxy costs).
-
-    Kept because the plan/groups contract is pinned across the process
-    executor and the cluster coordinator; new code should call
-    :meth:`ShardPlan.for_inference` (which also accepts a cost model).
-    """
-    return ShardPlan.for_inference(model, requests, n_shards)
 
 
 def _unwrap_shard_future(future, kind: str, index: int,
@@ -430,29 +361,3 @@ def _unwrap_shard_future(future, kind: str, index: int,
             f"(keys {list(keys)!r}); no worker traceback could be "
             f"recovered — the process was killed or crashed outside "
             f"Python") from exc
-
-
-#: Names that physically moved to :mod:`repro.core.execution` but remain
-#: importable from here (legacy imports, pickled pool tasks, and test
-#: monkeypatching all address them through this module).
-_MOVED_TO_EXECUTION = (
-    "ProcessShardExecutor",
-    "_INFERENCE_RUNNER",
-    "_CONSTRUCT_TOKENIZER",
-    "_init_inference_worker",
-    "_run_inference_shard",
-    "_init_construct_worker",
-    "_build_construct_shard",
-)
-
-
-def __getattr__(name: str):
-    # PEP 562 lazy re-export: sharding must not import execution at
-    # module level (execution imports ShardPlan and the error types
-    # from here), so the moved names resolve on first touch instead.
-    if name in _MOVED_TO_EXECUTION:
-        from . import execution
-
-        return getattr(execution, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -130,7 +130,7 @@ class TestLazyImportFixtures:
         assert report.ok, report.render()
 
     def test_repo_declared_edges_hold(self):
-        """The real contract: batch/sharding reach the execution plane
+        """The real contract: batch reaches the execution plane
         only lazily, and the core module graph is acyclic."""
         report = run(rules=[LazyImportContractRule()])
         assert report.ok, report.render()

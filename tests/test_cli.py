@@ -45,21 +45,6 @@ class TestParser:
                 ["construct", "--curated", "c", "--out", "m",
                  "--alignment", "cosine"])
 
-    def test_parallel_defaults_to_thread(self):
-        args = build_parser().parse_args(
-            ["construct", "--curated", "c", "--out", "m"])
-        assert args.parallel == "thread" and args.workers == 1
-        args = build_parser().parse_args(
-            ["recommend", "--model", "m", "--title", "t", "--leaf", "1"])
-        assert args.parallel == "thread" and args.workers == 1
-
-    def test_parallel_choices_enforced(self):
-        for command in (["construct", "--curated", "c", "--out", "m"],
-                        ["recommend", "--model", "m", "--title", "t",
-                         "--leaf", "1"]):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(command + ["--parallel", "warp"])
-
 
 class TestWorkflow:
     def test_simulate_output_schema(self, workflow_dir):
@@ -116,12 +101,12 @@ class TestWorkflow:
         leaf_id = int(next(iter(payload["leaves"])))
         text = payload["leaves"][str(leaf_id)]["texts"][0]
         outputs = {}
-        for parallel in ("thread", "process"):
+        for executor in ("thread", "process"):
             assert main(["recommend", "--model",
                          str(workflow_dir / "model"), "--title", text,
-                         "--leaf", str(leaf_id), "--parallel", parallel,
+                         "--leaf", str(leaf_id), "--executor", executor,
                          "--workers", "2"]) == 0
-            outputs[parallel] = capsys.readouterr().out
+            outputs[executor] = capsys.readouterr().out
         assert outputs["process"] == outputs["thread"]
         assert text in outputs["process"]
 
@@ -131,7 +116,7 @@ class TestWorkflow:
         curated_path = workflow_dir / "curated.json"
         out_dir = tmp_path / "model_process"
         assert main(["construct", "--curated", str(curated_path),
-                     "--out", str(out_dir), "--parallel", "process",
+                     "--out", str(out_dir), "--executor", "process",
                      "--workers", "2"]) == 0
         serial = load_model(workflow_dir / "model")
         sharded = load_model(out_dir)
@@ -238,19 +223,19 @@ class TestWorkflow:
     def test_serve_nrt_rejects_bad_engine_pairing(self, workflow_dir):
         with pytest.raises(ValueError, match="single-process"):
             main(["serve-nrt", "--model", str(workflow_dir / "model"),
-                  "--engine", "reference", "--parallel", "process"])
+                  "--engine", "reference", "--executor", "process"])
 
 
 class TestExecutorFlag:
-    """ISSUE 8: the unified --executor flag (with --parallel aliased)."""
+    """The --executor flag: one spelling for every shard substrate."""
 
     def test_executor_defaults_to_none(self):
         args = build_parser().parse_args(
             ["construct", "--curated", "c", "--out", "m"])
-        assert args.executor is None and args.parallel == "thread"
+        assert args.executor is None and args.workers == 1
         args = build_parser().parse_args(
             ["recommend", "--model", "m", "--title", "t", "--leaf", "1"])
-        assert args.executor is None and args.parallel == "thread"
+        assert args.executor is None and args.workers == 1
 
     def test_executor_choices_enforced(self):
         with pytest.raises(SystemExit):
@@ -294,15 +279,6 @@ class TestExecutorFlag:
         clustered = self._recommend_output(workflow_dir, capsys,
                                            "--executor", "cluster")
         assert clustered == baseline
-
-    def test_recommend_executor_wins_over_parallel_alias(
-            self, workflow_dir, capsys):
-        aliased = self._recommend_output(workflow_dir, capsys,
-                                         "--parallel", "thread")
-        explicit = self._recommend_output(workflow_dir, capsys,
-                                          "--executor", "serial",
-                                          "--parallel", "thread")
-        assert explicit == aliased
 
     def test_construct_executor_serial_builds_identical_model(
             self, workflow_dir, tmp_path):

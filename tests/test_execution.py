@@ -1,20 +1,17 @@
-"""Tests for the unified execution plane (ISSUE 8).
+"""Tests for the unified execution plane.
 
 Covers the :mod:`repro.core.execution` subsystem bottom-up: the
-CostModel value object (decay folds, JSON round-trip, merge, proxy
-fallback), the resolver behind every ``executor=``/legacy ``parallel=``
-keyword, observed-cost feedback into :class:`ShardPlan` (plans change on
-a skewed world, outputs do not), orphan re-planning cost preservation,
-and the headline cross-executor equivalence contract: any workload on
-any substrate — serial oracle, thread fan-out, worker processes, or a
-localhost cluster with injected faults — serves element-wise identical
-results and builds bit-identical models.
+resolver behind every ``executor=`` keyword, executor timings in the
+metrics registry, orphan re-planning cost preservation, and the
+headline cross-executor equivalence contract: any workload on any
+substrate and shard count — serial oracle, thread fan-out, worker
+processes, or a localhost cluster with injected faults — serves
+element-wise identical results and builds bit-identical models.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 
 import numpy as np
 import pytest
@@ -22,18 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (ClusterCoordinator, ClusterWorker, RetryPolicy)
-from repro.core.batch import batch_recommend
 from repro.core.curation import (CuratedKeyphrases, CuratedLeaf,
                                  CurationConfig)
 from repro.core.execution import (EXECUTOR_NAMES, ClusterExecutor,
-                                  CostModel, Executor,
                                   ProcessShardExecutor, SerialExecutor,
-                                  ThreadShardExecutor,
-                                  plan_rebalance_gain, resolve_executor)
+                                  ThreadShardExecutor, resolve_executor)
 from repro.core.fast_inference import LeafBatchRunner
 from repro.core.model import GraphExModel
-from repro.core.sharding import (PARALLEL_MODES, POOLED_GROUP, ShardPlan,
-                                 validate_parallel)
+from repro.core.sharding import ShardPlan
+from repro.obs import MetricsRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -104,147 +98,7 @@ def assert_models_identical(reference, fast):
 
 
 # ---------------------------------------------------------------------------
-# CostModel
-
-
-class TestCostModel:
-    def test_first_observation_sets_rate(self):
-        cost_model = CostModel()
-        cost_model.observe_inference(7, seconds=0.5, units=10)
-        assert cost_model.n_observations() == 1
-        assert cost_model.n_observations("inference") == 1
-        assert cost_model.n_observations("construction") == 0
-        assert cost_model.has_observations("inference")
-        assert not cost_model.has_observations("construction")
-        [(key, cost)] = cost_model.inference_costs([(7, 10)])
-        assert key == 7
-        assert cost == round(0.05 * 10 * 1_000_000)
-
-    def test_observations_decay_fold(self):
-        cost_model = CostModel(decay=0.7)
-        cost_model.observe_construction(1, seconds=1.0, units=1)
-        cost_model.observe_construction(1, seconds=3.0, units=1)
-        [(_, cost)] = cost_model.construction_costs([(1, 1)])
-        # 0.7 * 1.0 + 0.3 * 3.0 = 1.6 seconds/unit
-        assert cost == round(1.6 * 1_000_000)
-        assert cost_model.n_observations("construction") == 2
-
-    def test_empty_kind_passes_proxy_through(self):
-        cost_model = CostModel()
-        proxy = [(1, 5), (2, 4), (POOLED_GROUP, 3)]
-        assert cost_model.inference_costs(proxy) == proxy
-        cost_model.observe_construction(1, 0.1, 10)
-        # Construction observations must not leak into inference plans.
-        assert cost_model.inference_costs(proxy) == proxy
-
-    def test_unobserved_key_uses_mean_rate(self):
-        cost_model = CostModel()
-        cost_model.observe_inference(1, seconds=0.2, units=1)
-        cost_model.observe_inference(2, seconds=0.4, units=1)
-        costs = dict(cost_model.inference_costs([(1, 1), (2, 1), (3, 2)]))
-        assert costs[3] == round(0.3 * 2 * 1_000_000)
-
-    def test_costs_are_positive_ints(self):
-        """ShardPlan.from_json strictness: costs must be ints >= 1."""
-        cost_model = CostModel()
-        cost_model.observe_inference(1, seconds=0.0, units=1)
-        costs = cost_model.inference_costs([(1, 1), (2, 0)])
-        assert all(isinstance(cost, int) and cost >= 1
-                   for _key, cost in costs)
-
-    def test_json_round_trip_exact(self):
-        cost_model = CostModel(decay=0.6)
-        cost_model.observe_inference(7, 0.123456, 3)
-        cost_model.observe_inference(POOLED_GROUP, 0.5, 2)
-        cost_model.observe_construction(7, 1.75, 40)
-        cost_model.observe_construction("leaf-x", 0.25, 9)
-        restored = CostModel.from_json(cost_model.to_json())
-        assert restored == cost_model
-        # Exactness is what makes the daily hand-off deterministic: the
-        # restored model re-costs a proxy identically.
-        proxy = [(7, 3), (POOLED_GROUP, 2), (11, 1)]
-        assert restored.inference_costs(proxy) == \
-            cost_model.inference_costs(proxy)
-
-    def test_json_payload_shape(self):
-        cost_model = CostModel()
-        cost_model.observe_inference(5, 0.1, 2)
-        payload = json.loads(cost_model.to_json())
-        assert payload["decay"] == 0.7
-        assert set(payload) == {"decay", "inference", "construction"}
-        assert payload["inference"]["5"] == [0.05, 1]
-
-    def test_from_json_rejects_garbage(self):
-        with pytest.raises(ValueError, match="not JSON"):
-            CostModel.from_json("{nope")
-        with pytest.raises(ValueError, match="'decay'"):
-            CostModel.from_json("[]")
-        with pytest.raises(ValueError, match="rate, count"):
-            CostModel.from_json(
-                '{"decay": 0.7, "inference": {"1": [0.5]}}')
-
-    def test_merge_copies_one_sided_keys(self):
-        mine, theirs = CostModel(), CostModel()
-        theirs.observe_inference(1, 0.5, 1)
-        mine.merge(theirs)
-        assert mine.inference_costs([(1, 1)]) == \
-            theirs.inference_costs([(1, 1)])
-        assert mine.n_observations() == 1
-
-    def test_merge_decays_shared_keys(self):
-        mine, theirs = CostModel(decay=0.5), CostModel(decay=0.5)
-        mine.observe_inference(1, 1.0, 1)       # rate 1.0, count 1
-        theirs.observe_inference(1, 3.0, 1)     # rate 3.0, count 1
-        mine.merge(theirs)
-        # old_weight = 1 * 0.5; rate = (1.0*0.5 + 3.0*1) / 1.5
-        [(_, cost)] = mine.inference_costs([(1, 1)])
-        assert cost == round((0.5 + 3.0) / 1.5 * 1_000_000)
-        assert mine.n_observations() == 2
-
-    def test_invalid_decay_and_kind_rejected(self):
-        with pytest.raises(ValueError, match="decay"):
-            CostModel(decay=1.0)
-        with pytest.raises(ValueError, match="decay"):
-            CostModel(decay=-0.1)
-        cost_model = CostModel()
-        with pytest.raises(ValueError, match="unknown cost kind"):
-            cost_model.observe("gpu", 1, 0.1)
-        with pytest.raises(ValueError, match="unknown cost kind"):
-            cost_model.costs("gpu", [(1, 1)])
-
-
-class TestPlanRebalanceGain:
-    def test_none_without_comparison(self):
-        proxy = [(1, 5), (2, 5)]
-        assert plan_rebalance_gain(None, proxy, 2) is None
-        empty = CostModel()
-        assert plan_rebalance_gain(empty, proxy, 2) is None
-        observed = CostModel()
-        observed.observe_construction(1, 0.5, 5)
-        assert plan_rebalance_gain(observed, proxy, 1) is None
-        assert plan_rebalance_gain(observed, [(1, 5)], 2) is None
-
-    def test_skewed_observations_show_gain(self):
-        """Equal proxies, skewed reality: the proxy plan pairs the two
-        slow keys onto one shard; the observed plan separates them."""
-        cost_model = CostModel()
-        for key, rate in ((1, 1.0), (2, 0.1), (3, 1.0), (4, 0.1)):
-            cost_model.observe_construction(key, rate, 1)
-        proxy = [(1, 1), (2, 1), (3, 1), (4, 1)]
-        gain = plan_rebalance_gain(cost_model, proxy, 2)
-        assert gain is not None and gain > 1.5
-
-    def test_balanced_observations_no_gain(self):
-        cost_model = CostModel()
-        for key in (1, 2, 3, 4):
-            cost_model.observe_construction(key, 1.0, 1)
-        gain = plan_rebalance_gain(
-            cost_model, [(1, 1), (2, 1), (3, 1), (4, 1)], 2)
-        assert gain == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
-# The resolver (satellite 1: every legacy spelling keeps working)
+# The resolver: one spelling, executor=
 
 
 class TestResolveExecutor:
@@ -262,29 +116,29 @@ class TestResolveExecutor:
         assert isinstance(process, ProcessShardExecutor)
         assert process.workers == 3
 
-    def test_legacy_parallel_spellings(self):
-        for mode in PARALLEL_MODES:
-            executor = resolve_executor(parallel=mode, workers=2)
-            assert executor.name == mode
-
     def test_instance_passes_through(self):
         mine = ThreadShardExecutor(4)
         assert resolve_executor(mine) is mine
         assert resolve_executor(mine, workers=9) is mine
 
-    def test_executor_plus_parallel_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_executor("serial", parallel="thread")
-
     def test_unknown_spelling_names_the_accepted_ones(self):
-        with pytest.raises(ValueError, match="unknown parallel mode"):
-            resolve_executor("fiber")
-        with pytest.raises(ValueError, match="serial"):
-            resolve_executor("fiber")
+        for spelling in ("fiber", "THREAD", 3):
+            with pytest.raises(ValueError, match="unknown executor=") \
+                    as excinfo:
+                resolve_executor(spelling)
+            assert str(EXECUTOR_NAMES) in str(excinfo.value)
+            assert "parallel" not in str(excinfo.value)
 
     def test_cluster_needs_a_coordinator(self):
-        with pytest.raises(ValueError, match="ClusterCoordinator"):
-            resolve_executor("cluster")
+        # A bare string cannot conjure a fleet, with or without
+        # workers: the error points at the two ways to get one.
+        for kwargs in ({}, {"workers": 3}):
+            with pytest.raises(ValueError,
+                               match=r"ClusterExecutor\.local\(\)") \
+                    as excinfo:
+                resolve_executor("cluster", **kwargs)
+            assert "existing ClusterExecutor instance" in \
+                str(excinfo.value)
 
     def test_reference_engine_needs_in_process_executor(self):
         resolve_executor("serial", engine="reference")
@@ -292,106 +146,46 @@ class TestResolveExecutor:
         with pytest.raises(ValueError, match="semantics reference"):
             resolve_executor("process", engine="reference")
 
-    def test_cost_model_is_threaded_through(self):
-        cost_model = CostModel()
-        executor = resolve_executor("thread", cost_model=cost_model)
-        assert executor.cost_model is cost_model
-
-    def test_validate_parallel_delegates(self):
-        for name in EXECUTOR_NAMES[:3]:
-            validate_parallel(name)
-        with pytest.raises(ValueError, match="unknown parallel mode"):
-            validate_parallel("fiber")
-
-    def test_batch_recommend_rejects_both_spellings(self, model,
-                                                    requests):
-        with pytest.raises(ValueError, match="not both"):
-            batch_recommend(model, requests, executor="serial",
-                            parallel="thread")
-
-    def test_batch_recommend_legacy_parallel(self, model, requests,
-                                             expected):
-        assert batch_recommend(model, requests, k=5,
-                               parallel="thread", workers=2) == expected
-
 
 # ---------------------------------------------------------------------------
-# Observed-cost feedback into ShardPlan
+# Executor timings land in the metrics registry
 
 
-class TestCostFeedbackIntoPlans:
-    def test_inference_partition_changes_outputs_do_not(
-            self, model, requests, expected):
-        """The acceptance loop: record a skewed cost model, feed it
-        back, watch the partition move — and the output stay put."""
-        cost_model = CostModel()
-        # Pretend leaf 2's group is pathologically slow.
-        for leaf_id in model.leaf_ids:
-            cost_model.observe_inference(
-                leaf_id, 10.0 if leaf_id == 2 else 0.01, 1)
-        proxy_plan, _ = ShardPlan.for_inference(model, requests, 2)
-        fed_plan, _ = ShardPlan.for_inference(model, requests, 2,
-                                              cost_model=cost_model)
-        assert proxy_plan.shards != fed_plan.shards
-        # Leaf 2 must sit alone on the heaviest shard now.
-        heaviest = max(range(fed_plan.n_shards),
-                       key=lambda i: fed_plan.shard_costs[i])
-        assert fed_plan.shards[heaviest] == (2,)
-
-        executor = ThreadShardExecutor(2, cost_model=cost_model)
-        assert executor.run_inference(model, requests, k=5) == expected
-
-    def test_construction_partition_changes_models_do_not(
-            self, curated, model):
-        cost_model = CostModel()
-        # Invert reality: the big leaf is cheap, the small ones costly.
-        for leaf_id, leaf in curated.leaves.items():
-            cost_model.observe_construction(
-                leaf_id, 0.01 if len(leaf) > 5 else 5.0,
-                sum(map(len, leaf.texts)) + 1)
-        proxy_plan = ShardPlan.for_construction(curated, 2)
-        fed_plan = ShardPlan.for_construction(curated, 2,
-                                              cost_model=cost_model)
-        assert proxy_plan.shards != fed_plan.shards
-
-        rebuilt = GraphExModel.construct(
-            curated, build_pooled=True,
-            executor=ThreadShardExecutor(2, cost_model=cost_model))
-        assert_models_identical(model, rebuilt)
-
+class TestExecutorTimings:
     def test_executors_record_observations(self, model, curated,
                                            requests):
-        executor = ThreadShardExecutor(2)
-        assert not executor.cost_model.has_observations("inference")
+        registry = MetricsRegistry()
+        executor = ThreadShardExecutor(2, metrics=registry)
         executor.run_inference(model, requests, k=5)
-        assert executor.cost_model.n_observations("inference") >= \
-            model.n_leaves
+        assert registry.counter_value("executor.inference.requests",
+                                      executor="thread") == len(requests)
+        assert registry.counter_value("executor.inference.tasks",
+                                      executor="thread") >= model.n_leaves
         executor.run_construction(curated)
         n_leaves = sum(1 for leaf in curated.leaves.values()
                        if len(leaf) > 0)
-        assert executor.cost_model.n_observations("construction") == \
+        assert registry.counter_value("executor.construction.leaves",
+                                      executor="thread") == n_leaves
+        assert registry.histogram_stats("executor.construction.seconds",
+                                        executor="thread")["count"] == \
             n_leaves
 
     def test_process_executor_records_worker_timings(self, model,
                                                      curated, requests):
-        with ProcessShardExecutor(workers=2) as executor:
+        registry = MetricsRegistry()
+        with ProcessShardExecutor(workers=2, metrics=registry) as executor:
             executor.run_inference(model, requests, k=5)
-            assert executor.cost_model.has_observations("inference")
+            assert registry.counter_value(
+                "executor.inference.requests",
+                executor="process") == len(requests)
             executor.run_construction(curated)
-            assert executor.cost_model.has_observations("construction")
-
-    def test_recorded_model_round_trips_into_same_plan(self, curated):
-        executor = ThreadShardExecutor(2)
-        executor.run_construction(curated)
-        restored = CostModel.from_json(executor.cost_model.to_json())
-        assert ShardPlan.for_construction(curated, 2,
-                                          cost_model=restored) == \
-            ShardPlan.for_construction(curated, 2,
-                                       cost_model=executor.cost_model)
+            assert registry.histogram_stats(
+                "executor.construction.seconds",
+                executor="process")["count"] > 0
 
 
 # ---------------------------------------------------------------------------
-# Replan cost preservation (satellite 2)
+# Replan cost preservation
 
 
 class TestReplanCostPreservation:
@@ -402,13 +196,6 @@ class TestReplanCostPreservation:
         # shards with those exact costs, not re-proxied to 1 each.
         assert replanned.shards == ((1,), (4,))
         assert replanned.shard_costs == [50, 20]
-
-    def test_fresher_costs_override_recorded(self):
-        plan = ShardPlan.balance([(1, 50), (2, 40), (3, 30)], 2)
-        replanned = plan.replan([1, 2, 3], 2, costs={1: 5})
-        # Key 1 collapsed to 5; keys 2/3 keep recorded costs.
-        assert replanned.shard_costs == [40, 35]
-        assert replanned.shards == ((2,), (3, 1))
 
     def test_unknown_key_rejected(self):
         plan = ShardPlan.balance([(1, 5)], 1)
@@ -460,7 +247,10 @@ class TestCrossExecutorEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_any_workload_any_executor_identical(self, data, model):
         """Property: a drawn workload served through a drawn substrate
-        is element-wise identical to the serial oracle."""
+        and shard count is element-wise identical to the serial
+        oracle, and a drawn world built on 1-5 thread shards is
+        bit-identical to the serial build — the partition moves with
+        the shard count, the outputs do not."""
         leaf_ids = list(model.leaf_ids) + [999]  # 999 -> pooled
         n = data.draw(st.integers(min_value=0, max_value=20))
         requests = []
@@ -472,18 +262,27 @@ class TestCrossExecutorEquivalence:
                 min_size=0, max_size=4))
             item_id = data.draw(st.integers(min_value=0, max_value=8))
             requests.append((item_id, " ".join(words), leaf_id))
-        workers = data.draw(st.integers(min_value=1, max_value=4))
+        workers = data.draw(st.integers(min_value=1, max_value=5))
         executor = data.draw(st.sampled_from(["serial", "thread"]))
         oracle = SerialExecutor().run_inference(model, requests, k=4)
         got = resolve_executor(executor, workers=workers) \
             .run_inference(model, requests, k=4)
         assert got == oracle
 
+        world = build_curated(tuple(data.draw(st.lists(
+            st.integers(min_value=0, max_value=8),
+            min_size=1, max_size=6))))
+        assert_models_identical(
+            GraphExModel.construct(world, build_pooled=True,
+                                   executor=SerialExecutor()),
+            GraphExModel.construct(world, build_pooled=True,
+                                   executor=ThreadShardExecutor(workers)))
+
     def test_cluster_with_faults_identical(self, model, requests,
                                            expected, tmp_path):
         """A localhost fleet with a worker that hard-dies on its first
         shard still serves the oracle's exact output, and the executor
-        records cost observations for the merged units."""
+        records timings for the merged units."""
         from repro.core.serialization import save_model
 
         artifact = tmp_path / "model"
@@ -504,11 +303,12 @@ class TestCrossExecutorEquivalence:
                                            name=name, **kwargs)
                     tasks.append(asyncio.ensure_future(worker.run()))
                 await coordinator.wait_for_workers(3, timeout=10.0)
-                executor = ClusterExecutor(coordinator)
+                registry = MetricsRegistry()
+                executor = ClusterExecutor(coordinator, metrics=registry)
                 got = await executor.run_inference_async(
                     str(artifact), requests, k=5)
-                n_observed = executor.cost_model.n_observations(
-                    "inference")
+                n_observed = registry.histogram_stats(
+                    "cluster.unit.seconds", kind="inference")["count"]
                 await coordinator.stop()
                 for task in tasks:
                     task.cancel()
@@ -548,34 +348,3 @@ class TestCrossExecutorEquivalence:
         executor = ClusterExecutor(ClusterCoordinator())
         with pytest.raises(RuntimeError, match="started"):
             executor.run_inference("unused", [])
-
-
-# ---------------------------------------------------------------------------
-# Refresh integration: yesterday's costs steer today's plan
-
-
-class TestRefreshCostFeedback:
-    def test_second_refresh_reports_rebalance_stats(self, curated,
-                                                    model):
-        from repro.serving.kvstore import KeyValueStore
-        from repro.serving.batch_pipeline import BatchPipeline
-        from repro.serving.refresh import DailyRefreshOrchestrator
-
-        requests = [(i, f"leaf{1 + (i % 5)} word0 thing", 1 + (i % 5))
-                    for i in range(10)]
-        pipeline = BatchPipeline(model, store=KeyValueStore())
-        orchestrator = DailyRefreshOrchestrator(pipeline, workers=2)
-        assert orchestrator.cost_model is \
-            orchestrator.executor.cost_model
-
-        first = orchestrator.refresh_sync(curated, requests)
-        # Day one runs on proxies: nothing to compare yet, but the
-        # build itself populated the model.
-        assert first.rebalance_gain is None
-        assert first.n_cost_observations > 0
-
-        second = orchestrator.refresh_sync(curated, requests)
-        assert second.rebalance_gain is not None
-        assert second.rebalance_gain > 0
-        assert second.n_cost_observations >= first.n_cost_observations
-        assert second.generation > first.generation
